@@ -150,6 +150,73 @@ func TestRouterAPI(t *testing.T) {
 	}
 }
 
+// TestRouterStationBounds: a station outside the topology never aliases
+// onto another station's row — LinkQuality is 0 and PathETX +Inf — and
+// the diagonal reports no link.
+func TestRouterStationBounds(t *testing.T) {
+	top, _ := LineTopology(3) // stations 0..3
+	r, err := NewRouter(top, DefaultRadio())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, pr := range [][2]NodeID{{0, 4}, {4, 0}, {1, 5}, {-1, 0}, {0, -1}, {4, 4}} {
+		if q := r.LinkQuality(pr[0], pr[1]); q != 0 {
+			t.Errorf("LinkQuality(%d, %d) = %v, want 0", pr[0], pr[1], q)
+		}
+		if e := r.PathETX(Path{pr[0], pr[1]}); !math.IsInf(e, 1) {
+			t.Errorf("PathETX(%d, %d) = %v, want +Inf", pr[0], pr[1], e)
+		}
+	}
+	if e := r.PathETX(Path{0, 1, 2, 4}); !math.IsInf(e, 1) {
+		t.Errorf("PathETX through station 4 = %v, want +Inf", e)
+	}
+	for a := 0; a < 4; a++ {
+		if q := r.LinkQuality(a, a); q != 0 {
+			t.Errorf("LinkQuality(%d, %d) = %v, want 0", a, a, q)
+		}
+	}
+	if e := r.PathETX(Path{0, 1}); math.IsInf(e, 1) || e < 1 {
+		t.Errorf("PathETX of a usable hop = %v", e)
+	}
+}
+
+// TestRouterLinkQualityBelowMinProb: links too lossy for routing (below
+// the 0.1 delivery floor) keep their true link-model probability in
+// LinkQuality, while routing treats them as absent (PathETX +Inf).
+func TestRouterLinkQualityBelowMinProb(t *testing.T) {
+	top := RoofnetTopology()
+	r, err := NewRouter(top, DefaultRadio())
+	if err != nil {
+		t.Fatal(err)
+	}
+	rc, err := DefaultRadio().config()
+	if err != nil {
+		t.Fatal(err)
+	}
+	lossy := 0
+	for a := range top.Positions {
+		for b := range top.Positions {
+			if a == b {
+				continue
+			}
+			pa, pb := top.Positions[a], top.Positions[b]
+			want := 1 - rc.LossProb(math.Hypot(pa.X-pb.X, pa.Y-pb.Y))
+			if q := r.LinkQuality(a, b); q != want {
+				t.Fatalf("LinkQuality(%d, %d) = %v, link model says %v", a, b, q, want)
+			}
+			if want > 0 && want < 0.1 {
+				lossy++
+				if e := r.PathETX(Path{a, b}); !math.IsInf(e, 1) {
+					t.Fatalf("sub-floor link %d->%d (p=%v) has PathETX %v, want +Inf", a, b, want, e)
+				}
+			}
+		}
+	}
+	if lossy == 0 {
+		t.Fatal("no sub-floor link in the Roofnet topology — test proves nothing")
+	}
+}
+
 func TestRouterIdealProfileMatchesGeometry(t *testing.T) {
 	top, _ := LineTopology(3)
 	r, err := NewRouter(top, IdealRadio())

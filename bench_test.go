@@ -387,8 +387,9 @@ func BenchmarkWorldBuildCity(b *testing.B) {
 	benchWorldBuild(b, cityBuildConfig(topology.CityPruneSigma))
 }
 
-// BenchmarkWorldBuildCityDense is the dense baseline: the identical city
-// with pruning off, paying the full N² link plan and ETX matrix.
+// BenchmarkWorldBuildCityDense is the unpruned baseline: the identical
+// city with pruning off, paying the full N² link plan and an ETX table
+// build that visits every pair.
 func BenchmarkWorldBuildCityDense(b *testing.B) {
 	benchWorldBuild(b, cityBuildConfig(0))
 }
@@ -453,8 +454,8 @@ func BenchmarkEpochRebuildCity(b *testing.B) {
 // BenchmarkEpochWorldMobile1k builds a mobile 1 000-station city world —
 // base snapshot plus all epoch derivations. Its B/op gate in
 // scripts/bench_thresholds.txt is the alloc-counting guard that epoch
-// rebuilds stay on the sparse constructors: one dense N×N fallback per
-// epoch would blow through it immediately.
+// rebuilds stay O(N·k): one N×N fallback per epoch would blow through it
+// immediately.
 func BenchmarkEpochWorldMobile1k(b *testing.B) {
 	top, _ := topology.CityN(1000, 3)
 	cfg := network.Config{

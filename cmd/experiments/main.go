@@ -330,14 +330,20 @@ func run() int {
 		}
 	}
 	if *jsonOut && !isWorker {
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(out); err != nil {
+		if err := writeJSON(os.Stdout, out); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			return 1
 		}
 	}
 	return code
+}
+
+// writeJSON emits the -json output: one indented array of tables, floats
+// at full precision (the committed goldens are this encoding).
+func writeJSON(w io.Writer, out []jsonTable) error {
+	enc := json.NewEncoder(w)
+	enc.SetIndent("", "  ")
+	return enc.Encode(out)
 }
 
 // workerArgv derives a spawned worker's command line from the

@@ -311,28 +311,17 @@ func epochLinkTable(cfg *Config, fs *fault.Schedule, prev *World, plan *radio.Li
 		}
 		return 1 - rc.LossProb(d)
 	}
-	if plan.Pruned() {
-		return routing.NewSparseTableSym(plan.Stations(), func(a pkt.NodeID, yield func(int32, float64)) {
-			plan.EachAscNeighbor(int(a), func(j int32, d float64) {
-				yield(j, linkProb(a, pkt.NodeID(j), d))
-			})
-		}, 0.1)
-	}
-	return routing.NewTable(plan.Stations(), func(a, b pkt.NodeID) float64 {
-		return linkProb(a, b, plan.Distance(int(a), int(b)))
+	return routing.NewSparseTableSym(plan.Stations(), func(a pkt.NodeID, yield func(int32, float64)) {
+		plan.EachAscNeighbor(int(a), func(j int32, d float64) {
+			yield(j, linkProb(a, pkt.NodeID(j), d))
+		})
 	}, 0.1)
 }
 
-// rebuildLinkTable derives an epoch's link table from its predecessor's.
-// When both the plan and the previous table are sparse, the table is
-// patched row-by-row (unmoved pairs copy their stored values); otherwise
-// it falls back to the from-scratch constructor, which itself picks the
-// sparse layout whenever the plan is pruned — an epoch rebuild never
-// widens a sparse world to a dense N² table.
+// rebuildLinkTable derives an epoch's link table from its predecessor's,
+// patched row by row over the new plan's neighbor graph (unmoved pairs
+// copy their stored values).
 func rebuildLinkTable(cfg *Config, prev *World, plan *radio.LinkPlan) *routing.Table {
-	if prev.table == nil || !plan.Pruned() || !prev.table.Sparse() {
-		return newLinkTable(cfg, plan)
-	}
 	prevPos, newPos := prev.plan.Positions(), plan.Positions()
 	moved := make([]bool, plan.Stations())
 	unchanged := make([]bool, plan.Stations())

@@ -100,16 +100,30 @@ func TestEpochWorldsPureAndSeedIndependent(t *testing.T) {
 }
 
 // TestEpochIncrementalMatchesScratch is the world-level equivalence bar:
-// every epoch world the incremental path derives (plan row-patching, sparse
-// table patching, route carry-over) must equal a from-scratch build over
-// that epoch's positions, bit for bit.
+// every epoch world the incremental path derives (plan row-patching, table
+// patching, route carry-over) must equal a from-scratch build over that
+// epoch's positions, bit for bit — on pruned plans and on the unpruned
+// (PruneSigma 0) plans whose tables are patched over every pair.
 func TestEpochIncrementalMatchesScratch(t *testing.T) {
-	for _, kind := range []MobilityKind{MobilityWaypoint, MobilityMarkov} {
-		cfg := mobileTestConfig(kind)
+	unpruned := mobileTestConfig(MobilityMarkov)
+	unpruned.Radio = radio.DefaultConfig()
+	unpruned.Radio.PruneSigma = 0
+	for _, tc := range []struct {
+		kind string
+		cfg  Config
+	}{
+		{"waypoint", mobileTestConfig(MobilityWaypoint)},
+		{"markov", mobileTestConfig(MobilityMarkov)},
+		{"markov-unpruned", unpruned},
+	} {
+		kind, cfg := tc.kind, tc.cfg
 		cfg.Normalize()
 		w, err := BuildWorld(cfg)
 		if err != nil {
 			t.Fatal(err)
+		}
+		if w.plan.Pruned() != (cfg.Radio.PruneSigma > 0) || w.Epochs() == 0 {
+			t.Fatalf("%s: case set up wrong (pruned %v, %d epochs)", kind, w.plan.Pruned(), w.Epochs())
 		}
 		model, err := cfg.Mobility.model(cfg.Positions)
 		if err != nil {
@@ -213,11 +227,12 @@ func TestSharedEpochWorldRace(t *testing.T) {
 	}
 }
 
-// TestEpochTablesStaySparseCity guards the epoch rebuild against the dense
-// fallback: on a pruned city-scale world every epoch's link table must keep
-// the sparse layout (a dense slip at N=1000 is an 8 MB-per-epoch
-// regression; the alloc gate on BenchmarkEpochRebuildCity enforces the
-// byte budget, this pins the layout).
+// TestEpochTablesStaySparseCity guards the epoch rebuild against widening
+// to N²: on a pruned city-scale world every epoch's plan must stay pruned
+// and its link table must store no more links than the plan offers (an
+// all-pairs slip at N=1000 is an 8 MB-per-epoch regression; the alloc gate
+// on BenchmarkEpochRebuildCity enforces the byte budget, this pins the
+// link bound).
 func TestEpochTablesStaySparseCity(t *testing.T) {
 	top, _ := topology.CityN(1000, 3)
 	cfg := Config{
@@ -235,7 +250,7 @@ func TestEpochTablesStaySparseCity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !w.plan.Pruned() || !w.table.Sparse() {
+	if !w.plan.Pruned() || w.table.Links() > w.plan.Links() {
 		t.Fatal("city base world is not sparse — case set up wrong")
 	}
 	if w.Epochs() == 0 {
@@ -245,8 +260,8 @@ func TestEpochTablesStaySparseCity(t *testing.T) {
 		if !ew.plan.Pruned() {
 			t.Fatalf("epoch %d: rebuilt plan lost pruning", e)
 		}
-		if !ew.table.Sparse() {
-			t.Fatalf("epoch %d: rebuilt table fell back to the dense layout", e)
+		if ew.table.Links() > ew.plan.Links() {
+			t.Fatalf("epoch %d: rebuilt table stores %d links, plan offers %d", e, ew.table.Links(), ew.plan.Links())
 		}
 	}
 }

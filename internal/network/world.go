@@ -196,26 +196,20 @@ func (w *World) check(cfg *Config) error {
 // model the medium uses, so the metric always matches the channel the
 // packets see (the minProb floor matches the public Router).
 //
-// With neighbor pruning on, the table is built sparse over exactly the
-// link plan's neighbor graph instead of probing all N² pairs. This stores
-// and routes over the identical usable link set: a pruned pair's mean
-// power sits PruneSigma shadowing deviations below the carrier-sense
-// threshold, which (with CSThreshDBm ≤ RXThreshDBm, true of every radio
-// profile) puts its delivery probability orders of magnitude below the
-// 0.1 minProb floor — the dense table would mark it unusable anyway.
+// The table is built over exactly the link plan's neighbor graph: every
+// pair when unpruned, the in-range pairs when pruned. Either way it equals
+// the all-pairs routing.NewTable: a pruned pair's mean power sits
+// PruneSigma shadowing deviations below the carrier-sense threshold, which
+// (with CSThreshDBm ≤ RXThreshDBm, true of every radio profile) puts its
+// delivery probability orders of magnitude below the 0.1 minProb floor.
+// The loss model is a pure function of distance, so forward and reverse
+// probabilities coincide and the symmetric constructor applies; iterating
+// the plan's CSR rows hands it each stored distance without a per-pair
+// lookup.
 func newLinkTable(cfg *Config, plan *radio.LinkPlan) *routing.Table {
-	if plan.Pruned() {
-		// The loss model is a pure function of distance, so forward and
-		// reverse probabilities coincide and the symmetric constructor
-		// applies; iterating the plan's CSR rows hands it each stored
-		// distance without a per-pair lookup.
-		return routing.NewSparseTableSym(plan.Stations(), func(a pkt.NodeID, yield func(int32, float64)) {
-			plan.EachAscNeighbor(int(a), func(j int32, d float64) {
-				yield(j, 1-cfg.Radio.LossProb(d))
-			})
-		}, 0.1)
-	}
-	return routing.NewTable(plan.Stations(), func(a, b pkt.NodeID) float64 {
-		return 1 - cfg.Radio.LossProb(plan.Distance(int(a), int(b)))
+	return routing.NewSparseTableSym(plan.Stations(), func(a pkt.NodeID, yield func(int32, float64)) {
+		plan.EachAscNeighbor(int(a), func(j int32, d float64) {
+			yield(j, 1-cfg.Radio.LossProb(d))
+		})
 	}, 0.1)
 }

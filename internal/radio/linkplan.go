@@ -293,23 +293,11 @@ func (pl *LinkPlan) Links() int { return len(pl.nbrID) }
 // Degree returns the number of stored neighbors of station i.
 func (pl *LinkPlan) Degree(i int) int { return int(pl.off[i+1] - pl.off[i]) }
 
-// AscNeighbors returns station i's neighbor IDs in ascending order. The
-// returned slice aliases the plan and must not be modified. The routing
-// layer iterates it to build its sparse link table over exactly the pairs
-// the plan kept.
-func (pl *LinkPlan) AscNeighbors(i int) []int32 {
-	lo, hi := pl.off[i], pl.off[i+1]
-	if !pl.pruned {
-		return pl.nbrID[lo:hi] // already in ID order
-	}
-	return pl.lookID[lo:hi]
-}
-
 // EachAscNeighbor calls yield for every stored neighbor of station i in
-// ascending ID order, with the precomputed link distance. It is the bulk
-// companion of AscNeighbors for callers that need per-link attributes:
-// iterating the CSR row directly avoids the per-pair slot lookup that
-// Distance(a, b) pays.
+// ascending ID order, with the precomputed link distance. The routing
+// layer builds its link table over exactly the pairs the plan kept this
+// way: iterating the CSR row directly avoids the per-pair slot lookup
+// that Distance(a, b) pays.
 func (pl *LinkPlan) EachAscNeighbor(i int, yield func(id int32, dist float64)) {
 	lo, hi := pl.off[i], pl.off[i+1]
 	if !pl.pruned {

@@ -143,9 +143,16 @@ func TestPrunedPlanMatchesBruteForce(t *testing.T) {
 						sigma, a, k, ids[k], dbm[k], want[k].id, want[k].dbm)
 				}
 			}
-			asc := plan.AscNeighbors(a)
+			var asc []int32
+			plan.EachAscNeighbor(a, func(id int32, d float64) {
+				if d != plan.Distance(a, int(id)) {
+					t.Fatalf("sigma %v: EachAscNeighbor(%d) gives %d distance %g, Distance says %g",
+						sigma, a, id, d, plan.Distance(a, int(id)))
+				}
+				asc = append(asc, id)
+			})
 			if len(asc) != len(want) || !sort.SliceIsSorted(asc, func(i, j int) bool { return asc[i] < asc[j] }) {
-				t.Fatalf("sigma %v: AscNeighbors(%d) not the sorted kept set: %v", sigma, a, asc)
+				t.Fatalf("sigma %v: EachAscNeighbor(%d) not the sorted kept set: %v", sigma, a, asc)
 			}
 			for b := 0; b < n; b++ {
 				if plan.MeanDBm(a, b) != dense.MeanDBm(a, b) {

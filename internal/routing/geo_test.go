@@ -10,7 +10,7 @@ import (
 	"ripple/internal/radio"
 )
 
-// lineTable builds a dense table over n stations on a line with usable
+// geoLineTable builds an all-pairs table over n stations on a line with usable
 // links between stations at most reach apart (prob 0.9 within reach).
 func geoLineTable(n int, spacing, reach float64) (*Table, []radio.Pos) {
 	pos := make([]radio.Pos, n)
@@ -110,24 +110,25 @@ func TestGeoVoidRecovery(t *testing.T) {
 	}
 }
 
-// TestEachNeighborLayoutsAgree: dense and sparse tables over the same
-// usable link set enumerate identical (neighbor, ETX) sequences.
+// TestEachNeighborLayoutsAgree: the all-pairs table and one built over a
+// candidate graph that contains every usable link enumerate identical
+// (neighbor, ETX) sequences.
 func TestEachNeighborLayoutsAgree(t *testing.T) {
 	tab, pos := geoLineTable(9, 100, 250)
-	sparse := NewSparseTable(9, func(a pkt.NodeID) []int32 {
-		ids := make([]int32, 0, 8)
+	cand := NewSparseTableSym(9, func(a pkt.NodeID, yield func(b int32, p float64)) {
 		for b := 0; b < 9; b++ {
-			if pkt.NodeID(b) != a {
-				ids = append(ids, int32(b))
+			if d := radio.Dist(pos[a], pos[b]); pkt.NodeID(b) != a && d <= 400 {
+				p := 0.0
+				if d <= 250 {
+					p = 0.9
+				}
+				yield(int32(b), p)
 			}
 		}
-		return ids
-	}, func(a, b pkt.NodeID) float64 {
-		if radio.Dist(pos[a], pos[b]) <= 250 {
-			return 0.9
-		}
-		return 0
 	}, 0.1)
+	if cand.Links() != tab.Links() {
+		t.Fatalf("candidate table stores %d links, all-pairs %d", cand.Links(), tab.Links())
+	}
 	for a := 0; a < 9; a++ {
 		type link struct {
 			b   pkt.NodeID
@@ -135,9 +136,9 @@ func TestEachNeighborLayoutsAgree(t *testing.T) {
 		}
 		var dl, sl []link
 		tab.EachNeighbor(pkt.NodeID(a), func(b pkt.NodeID, e float64) { dl = append(dl, link{b, e}) })
-		sparse.EachNeighbor(pkt.NodeID(a), func(b pkt.NodeID, e float64) { sl = append(sl, link{b, e}) })
+		cand.EachNeighbor(pkt.NodeID(a), func(b pkt.NodeID, e float64) { sl = append(sl, link{b, e}) })
 		if !slices.Equal(dl, sl) {
-			t.Fatalf("station %d: dense neighbors %v != sparse neighbors %v", a, dl, sl)
+			t.Fatalf("station %d: all-pairs neighbors %v != candidate neighbors %v", a, dl, sl)
 		}
 	}
 }

@@ -13,7 +13,7 @@ import (
 // sparseWorld builds a 500-station jittered grid plus one unreachable
 // outlier, with a distance-driven link probability and the matching
 // candidate neighbor graph — the same shape a pruned radio link plan
-// feeds NewSparseTable, without importing the radio package.
+// feeds NewSparseTableSym, without importing the radio package.
 //
 // The probability ramp hits the 0.1 minProb floor at 220 m and the
 // candidate radius is 230 m, so the candidate graph strictly contains the
@@ -21,7 +21,7 @@ import (
 // power, far below the usable-link threshold). Jitter stays at ±20 m so
 // adjacent grid stations (≤194 m apart) always remain usable: the grid
 // component is connected by construction.
-func sparseWorld() (n int, prob LinkProbFunc, neighbors NeighborsFunc, outlier pkt.NodeID) {
+func sparseWorld() (n int, prob LinkProbFunc, neighbors func(a pkt.NodeID) []int32, outlier pkt.NodeID) {
 	const rows, cols, spacing, jitter = 20, 25, 150.0, 20.0
 	n = rows*cols + 1
 	outlier = pkt.NodeID(n - 1)
@@ -64,40 +64,49 @@ func sparseWorld() (n int, prob LinkProbFunc, neighbors NeighborsFunc, outlier p
 	return n, prob, neighbors, outlier
 }
 
-// TestSparseTableMatchesDense proves the two layouts are the same table:
-// identical link metrics on every pair, identical Dijkstra distances from
-// every source (covering every source/destination pair), and identical
-// paths — bit for bit, since both relax usable neighbors in ascending ID
-// order.
+// candidateTable builds the table over the candidate graph the way a
+// pruned radio link plan does: NewSparseTableSym, one probability per
+// offered pair (prob is symmetric).
+func candidateTable(n int, neighbors func(a pkt.NodeID) []int32, prob LinkProbFunc) *Table {
+	return NewSparseTableSym(n, func(a pkt.NodeID, yield func(b int32, p float64)) {
+		for _, b := range neighbors(a) {
+			yield(b, prob(a, pkt.NodeID(b)))
+		}
+	}, 0.1)
+}
+
+// TestSparseTableMatchesDense proves that a table built over the pruned
+// candidate graph is the all-pairs table: identical link metrics on every
+// pair, identical Dijkstra distances from every source (covering every
+// source/destination pair), and identical paths — bit for bit, since both
+// hold the same usable links and relax them in ascending ID order.
 func TestSparseTableMatchesDense(t *testing.T) {
 	n, prob, neighbors, _ := sparseWorld()
 	dense := NewTable(n, prob, 0.1)
-	sparse := NewSparseTable(n, neighbors, prob, 0.1)
-	if !sparse.Sparse() || dense.Sparse() {
-		t.Fatal("layout flags wrong")
-	}
+	sparse := candidateTable(n, neighbors, prob)
 	if sparse.Links() == 0 {
-		t.Fatal("sparse table kept no links")
+		t.Fatal("candidate table kept no links")
+	}
+	candidates := 0
+	for a := 0; a < n; a++ {
+		candidates += len(neighbors(pkt.NodeID(a)))
+	}
+	if sparse.Links() >= candidates {
+		t.Fatalf("candidate graph (%d pairs) prunes nothing beyond minProb (%d links) — world set up wrong",
+			candidates, sparse.Links())
 	}
 
-	usable := 0
 	for a := 0; a < n; a++ {
 		for b := 0; b < n; b++ {
 			de := dense.LinkETX(pkt.NodeID(a), pkt.NodeID(b))
 			se := sparse.LinkETX(pkt.NodeID(a), pkt.NodeID(b))
 			if de != se && !(math.IsInf(de, 1) && math.IsInf(se, 1)) {
-				t.Fatalf("LinkETX(%d,%d): dense %g, sparse %g", a, b, de, se)
-			}
-			if !math.IsInf(de, 1) && a != b {
-				usable++
-				if dense.LinkProb(pkt.NodeID(a), pkt.NodeID(b)) != sparse.LinkProb(pkt.NodeID(a), pkt.NodeID(b)) {
-					t.Fatalf("LinkProb(%d,%d) differs on a usable link", a, b)
-				}
+				t.Fatalf("LinkETX(%d,%d): all-pairs %g, candidate %g", a, b, de, se)
 			}
 		}
 	}
-	if usable != sparse.Links() {
-		t.Fatalf("dense has %d usable links, sparse stores %d", usable, sparse.Links())
+	if dense.Links() != sparse.Links() {
+		t.Fatalf("all-pairs table has %d usable links, candidate table %d", dense.Links(), sparse.Links())
 	}
 
 	for src := 0; src < n; src++ {
@@ -105,7 +114,7 @@ func TestSparseTableMatchesDense(t *testing.T) {
 		sd := sparse.Distances(pkt.NodeID(src), nil)
 		for dst := range dd {
 			if dd[dst] != sd[dst] && !(math.IsInf(dd[dst], 1) && math.IsInf(sd[dst], 1)) {
-				t.Fatalf("Distances(%d)[%d]: dense %g, sparse %g", src, dst, dd[dst], sd[dst])
+				t.Fatalf("Distances(%d)[%d]: all-pairs %g, candidate %g", src, dst, dd[dst], sd[dst])
 			}
 		}
 	}
@@ -121,15 +130,15 @@ func TestSparseTableMatchesDense(t *testing.T) {
 			dp, derr := dense.ShortestPath(pkt.NodeID(src), pkt.NodeID(dst))
 			sp, serr := sparse.ShortestPath(pkt.NodeID(src), pkt.NodeID(dst))
 			if (derr == nil) != (serr == nil) {
-				t.Fatalf("path %d->%d: dense err %v, sparse err %v", src, dst, derr, serr)
+				t.Fatalf("path %d->%d: all-pairs err %v, candidate err %v", src, dst, derr, serr)
 			}
 			if !samePath(dp, sp) {
-				t.Fatalf("path %d->%d: dense %v, sparse %v", src, dst, dp, sp)
+				t.Fatalf("path %d->%d: all-pairs %v, candidate %v", src, dst, dp, sp)
 			}
 			dp, _ = dense.ShortestPathCost(pkt.NodeID(src), pkt.NodeID(dst), cost)
 			sp, _ = sparse.ShortestPathCost(pkt.NodeID(src), pkt.NodeID(dst), cost)
 			if !samePath(dp, sp) {
-				t.Fatalf("cost path %d->%d: dense %v, sparse %v", src, dst, dp, sp)
+				t.Fatalf("cost path %d->%d: all-pairs %v, candidate %v", src, dst, dp, sp)
 			}
 		}
 	}
@@ -147,23 +156,24 @@ func samePath(a, b Path) bool {
 	return true
 }
 
-// TestSparseTableNoRoute pins the unreachable-station contract: both
-// layouts report the ErrNoRoute sentinel and +Inf distance for the
-// outlier, in both directions.
+// TestSparseTableNoRoute pins the unreachable-station contract: tables
+// built over all pairs and over the candidate graph both report the
+// ErrNoRoute sentinel and +Inf distance for the outlier, in both
+// directions.
 func TestSparseTableNoRoute(t *testing.T) {
 	n, prob, neighbors, outlier := sparseWorld()
-	for _, tab := range []*Table{
-		NewTable(n, prob, 0.1),
-		NewSparseTable(n, neighbors, prob, 0.1),
+	for name, tab := range map[string]*Table{
+		"all-pairs": NewTable(n, prob, 0.1),
+		"candidate": candidateTable(n, neighbors, prob),
 	} {
 		if _, err := tab.ShortestPath(0, outlier); !errors.Is(err, ErrNoRoute) {
-			t.Fatalf("sparse=%v: ShortestPath(0, outlier) err = %v, want ErrNoRoute", tab.Sparse(), err)
+			t.Fatalf("%s: ShortestPath(0, outlier) err = %v, want ErrNoRoute", name, err)
 		}
 		if _, err := tab.ShortestPath(outlier, 0); !errors.Is(err, ErrNoRoute) {
-			t.Fatalf("sparse=%v: reverse err not ErrNoRoute", tab.Sparse())
+			t.Fatalf("%s: reverse err not ErrNoRoute", name)
 		}
 		if d := tab.Distances(0, nil); !math.IsInf(d[outlier], 1) {
-			t.Fatalf("sparse=%v: outlier distance %g, want +Inf", tab.Sparse(), d[outlier])
+			t.Fatalf("%s: outlier distance %g, want +Inf", name, d[outlier])
 		}
 	}
 }

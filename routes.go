@@ -2,6 +2,7 @@ package ripple
 
 import (
 	"fmt"
+	"math"
 
 	"ripple/internal/pkt"
 	"ripple/internal/radio"
@@ -16,8 +17,8 @@ import (
 
 // Router computes minimum-ETX paths over a topology.
 type Router struct {
-	table    *routing.Table
-	stations int
+	table *routing.Table
+	prob  routing.LinkProbFunc
 }
 
 // NewRouter builds the ETX link table for a topology under the given
@@ -33,18 +34,21 @@ func NewRouter(top Topology, r Radio) (*Router, error) {
 	for i, p := range top.Positions {
 		positions[i] = radio.Pos{X: p.X, Y: p.Y}
 	}
-	tab := routing.NewTable(len(positions), func(a, b pkt.NodeID) float64 {
+	prob := func(a, b pkt.NodeID) float64 {
 		return 1 - rc.LossProb(radio.Dist(positions[a], positions[b]))
-	}, 0.1)
-	return &Router{table: tab, stations: len(positions)}, nil
+	}
+	return &Router{table: routing.NewTable(len(positions), prob, 0.1), prob: prob}, nil
 }
+
+// has reports whether n is a station of the router's topology.
+func (r *Router) has(n NodeID) bool { return n >= 0 && n < r.table.Stations() }
 
 // Path returns the minimum-ETX path between two stations, usable directly
 // as a Flow.Path (and as the forwarder list for opportunistic schemes).
 func (r *Router) Path(src, dst NodeID) (Path, error) {
 	for _, n := range []NodeID{src, dst} {
-		if n < 0 || n >= r.stations {
-			return nil, fmt.Errorf("station %d outside topology (%d stations)", n, r.stations)
+		if !r.has(n) {
+			return nil, fmt.Errorf("station %d outside topology (%d stations)", n, r.table.Stations())
 		}
 	}
 	p, err := r.table.ShortestPath(pkt.NodeID(src), pkt.NodeID(dst))
@@ -54,17 +58,25 @@ func (r *Router) Path(src, dst NodeID) (Path, error) {
 	return fromPath(p), nil
 }
 
-// PathETX returns the summed ETX metric of a path.
+// PathETX returns the summed ETX metric of a path (+Inf if it uses an
+// unusable link or a station outside the topology).
 func (r *Router) PathETX(p Path) float64 {
 	rp := make(routing.Path, len(p))
 	for i, n := range p {
+		if !r.has(n) {
+			return math.Inf(1)
+		}
 		rp[i] = pkt.NodeID(n)
 	}
 	return r.table.PathETX(rp)
 }
 
 // LinkQuality returns the one-way frame delivery probability of a link
-// under the router's radio profile.
+// under the router's radio profile, including links too lossy for routing
+// to use (0 for a == b or a station outside the topology).
 func (r *Router) LinkQuality(a, b NodeID) float64 {
-	return r.table.LinkProb(pkt.NodeID(a), pkt.NodeID(b))
+	if a == b || !r.has(a) || !r.has(b) {
+		return 0
+	}
+	return r.prob(pkt.NodeID(a), pkt.NodeID(b))
 }
